@@ -6,11 +6,13 @@
 # conformance runs the backend contract suite — every backend directly and
 # through every strategy — under -race; bench-smoke compiles and single-shots
 # the parallel and allocation benchmarks so they cannot bit-rot; bench-json
-# regenerates the committed Figure 6 JSON report.
+# writes a fresh JSON report (git-ignored; the committed BENCH_*.json files
+# are frozen history). tier1 also vets the perfbench module, which is a
+# separate Go module that `go build ./...` does not reach.
 
 GO ?= go
-BENCH_JSON ?= BENCH_9.json
-BENCH_BASE ?= BENCH_8.json
+BENCH_JSON ?= bench-report.json
+BENCH_BASE ?= BENCH_9.json
 
 .PHONY: all tier1 race conformance bench-smoke bench-json bench-compare
 
@@ -20,6 +22,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
+	cd perfbench && $(GO) vet .
 	$(GO) test ./...
 
 race:
@@ -31,8 +34,8 @@ race:
 		./internal/daemon ./internal/remote ./cmd/afd
 	$(GO) test -race -count=1 -run 'Fleet|Lease|Refusal|Map' \
 		./internal/fleet ./internal/remote ./internal/cache
-	$(GO) test -race -count=1 -run 'MPSC|Numa|Lane|Submitter|URing' \
-		./internal/shm ./internal/core ./internal/wire
+	$(GO) test -race -count=1 -run 'MPSC|Lane' \
+		./internal/shm ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the
@@ -55,17 +58,18 @@ bench-smoke:
 	$(GO) run ./cmd/afbench -transport sweep -panel c -op read -blocks 64 -ops 200
 	$(GO) run ./cmd/afbench -fleet 1,2 -ops 200
 
-# Regenerate the machine-readable benchmark report committed alongside
-# EXPERIMENTS.md: the Figure 6 panels plus the concurrency sweeps (with
-# frame-batching amortization), the many-tenant session sweep (admission,
-# quota rejections, drain), the fleet-scale session cohorts (MPSC lane
-# plane descriptor economy at 64/256/1024 sessions), and the open/close
-# churn sweep. Override BENCH_JSON to write elsewhere.
+# Write the machine-readable benchmark report: the Figure 6 panels plus
+# the concurrency sweeps (with frame-batching amortization), the
+# many-tenant session sweep (admission, quota rejections, drain), the
+# fleet-scale session cohorts (MPSC lane plane descriptor economy at
+# 64/256/1024 sessions), and the open/close churn sweep. The default output is git-ignored; the committed BENCH_*.json
+# files are frozen history. Override BENCH_JSON to write elsewhere.
 bench-json:
 	$(GO) run ./cmd/afbench -full -json $(BENCH_JSON)
 
-# Diff the current report against the previous PR's committed baseline as a
-# per-cell percentage table. Override BENCH_BASE/BENCH_JSON to compare other
-# pairs (v1 reports compare on their Figure 6 cells only).
+# Diff a fresh report (make bench-json) against the latest committed
+# baseline as a per-cell percentage table. Override BENCH_BASE/BENCH_JSON
+# to compare other pairs, e.g. BENCH_BASE=BENCH_8.json BENCH_JSON=BENCH_9.json
+# (v1 reports compare on their Figure 6 cells only).
 bench-compare:
 	$(GO) run ./cmd/afbench -compare $(BENCH_BASE),$(BENCH_JSON)

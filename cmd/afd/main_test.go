@@ -150,17 +150,31 @@ func TestStatsEndpointExported(t *testing.T) {
 	}
 	c.Close()
 
-	resp, err := http.Get("http://" + svc.StatsAddr + "/stats")
-	if err != nil {
-		t.Fatalf("stats endpoint: %v", err)
+	// The server settles an operation's accounting just after its reply
+	// ships, so the client can see the bytes before the stats do: poll
+	// until the read is no longer in flight, then check what it recorded.
+	fetch := func() daemon.Stats {
+		t.Helper()
+		resp, err := http.Get("http://" + svc.StatsAddr + "/stats")
+		if err != nil {
+			t.Fatalf("stats endpoint: %v", err)
+		}
+		defer resp.Body.Close()
+		var st daemon.Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("stats JSON: %v", err)
+		}
+		return st
 	}
-	defer resp.Body.Close()
-	var st daemon.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("stats JSON: %v", err)
+	st := fetch()
+	for deadline := time.Now().Add(5 * time.Second); st.InFlight != 0; st = fetch() {
+		if time.Now().After(deadline) {
+			t.Fatalf("read still in flight after 5s: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if len(st.Tenants) == 0 || st.Tenants[0].Name != daemon.DefaultTenant {
-		t.Errorf("tenants = %+v", st.Tenants)
+		t.Fatalf("tenants = %+v", st.Tenants)
 	}
 	if st.Tenants[0].BytesRead == 0 {
 		t.Errorf("no bytes accounted: %+v", st.Tenants[0])

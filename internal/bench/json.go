@@ -19,7 +19,9 @@ import (
 // scaling sweep (aggregate throughput vs shard count, hot-file replication);
 // v8 added the fleet-scale session sweep (MPSC lane multiplexing with
 // descriptor deltas) and the submitter/frames-per-flush columns on the
-// syscall-economy cells. Older reports remain loadable for comparison.
+// syscall-economy cells; the submitter column has since been dropped, and
+// reports that carry it still load. Older reports remain loadable for
+// comparison.
 const ReportSchema = "afbench/v8"
 
 // Report is the machine-readable form of a benchmark run, written by
@@ -134,10 +136,8 @@ type TransportEconomyRow struct {
 	RecvWakeups       uint64  `json:"recvWakeups"`
 	DoorbellsPerFrame float64 `json:"doorbellsPerFrame,omitempty"`
 	FramesPerWakeup   float64 `json:"framesPerWakeup,omitempty"`
-	// Submitter names the send-side flush backend ("io_uring"/"portable");
-	// Flushes and FramesPerFlush quantify its group-commit amortization.
-	// All three are v8 columns, absent in older reports.
-	Submitter      string  `json:"submitter,omitempty"`
+	// Flushes and FramesPerFlush quantify the send side's group-commit
+	// amortization. Both are v8 columns, absent in older reports.
 	Flushes        uint64  `json:"flushes,omitempty"`
 	FramesPerFlush float64 `json:"framesPerFlush,omitempty"`
 }
@@ -279,7 +279,6 @@ func (rep *Report) AddTransportEconomy(path CachePath, cells []TransportEconomy)
 		if fpw, ok := c.FramesPerWakeup(); ok {
 			row.FramesPerWakeup = fpw
 		}
-		row.Submitter = c.Submitter
 		row.Flushes = c.Flushes
 		if fpf, ok := c.FramesPerFlush(); ok {
 			row.FramesPerFlush = fpf

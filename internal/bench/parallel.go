@@ -28,10 +28,6 @@ type ParallelResult struct {
 	// batched command channel.
 	BatchFrames  uint64
 	BatchFlushes uint64
-	// Submitter names the syscall backend those flushes took ("io_uring"
-	// when batches cross the kernel through a ring, "portable" otherwise).
-	// Empty when the strategy has no batched command channel.
-	Submitter string
 	// RecvFrames/RecvWakeups snapshot the receive path's drain amortization:
 	// response frames decoded versus read syscalls that delivered them.
 	// RecvWakeups is zero on the shm carrier, whose hot path makes no read
@@ -145,7 +141,6 @@ func (r *Runner) MeasureParallel(cfg Config, parallel int) (ParallelResult, erro
 	res := ParallelResult{Config: cfg, Parallel: parallel, Total: total}
 	if bs, ok := h.BatchStats(); ok {
 		res.BatchFrames, res.BatchFlushes = bs.Frames, bs.Flushes
-		res.Submitter = bs.Backend
 	}
 	if ds, ok := h.DataPlaneStats(); ok {
 		res.RecvFrames, res.RecvWakeups = ds.RecvFrames, ds.RecvWakeups

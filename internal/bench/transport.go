@@ -122,8 +122,7 @@ type TransportEconomy struct {
 	Suppressed  uint64  // ring wakeups avoided (peer running or flush-coalesced)
 	RecvFrames  uint64  // response frames the client receive loop decoded
 	RecvWakeups uint64  // read syscalls that delivered them (0 on shm)
-	Submitter   string  // flush backend: "io_uring" or "portable"
-	Flushes     uint64  // submission flushes (write syscalls, or ring enters)
+	Flushes     uint64  // submission flushes (write syscalls)
 	Frames      uint64  // command frames those flushes carried
 }
 
@@ -201,7 +200,6 @@ func (r *Runner) RunTransportEconomy(opts TransportOptions) ([]TransportEconomy,
 			Suppressed:  res.Suppressed,
 			RecvFrames:  res.RecvFrames,
 			RecvWakeups: res.RecvWakeups,
-			Submitter:   res.Submitter,
 			Flushes:     res.BatchFlushes,
 			Frames:      res.BatchFrames,
 		})
@@ -222,9 +220,9 @@ func WriteTransportEconomyTable(w io.Writer, path CachePath, ops int, cells []Tr
 		path, TransportEconomyClients, transportEconomyBlock, ops); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-10s%10s%12s%12s%12s%12s%12s%13s\n",
+	if _, err := fmt.Fprintf(w, "%-10s%10s%12s%12s%12s%12s%13s\n",
 		"carrier", "µs/op", "doorbells", "suppressed", "bells/frame", "frames/wake",
-		"submitter", "frames/flush"); err != nil {
+		"frames/flush"); err != nil {
 		return err
 	}
 	for _, c := range cells {
@@ -243,9 +241,6 @@ func WriteTransportEconomyTable(w io.Writer, path CachePath, ops int, cells []Tr
 				return err
 			}
 		} else if _, err := fmt.Fprintf(w, "%12s", "-"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%12s", c.Submitter); err != nil {
 			return err
 		}
 		if fpf, ok := c.FramesPerFlush(); ok {

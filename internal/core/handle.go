@@ -143,7 +143,6 @@ type DataPlaneStats struct {
 	SegmentSessions int // sessions multiplexed on this session's segment (incl. draining)
 	SegmentFDs      int // parent-side descriptors the segment pins (file + doorbells)
 	DoorbellFDs     int // doorbell eventfds among them
-	NumaNode        int // node the segment is bound to; -1 when unplaced
 }
 
 // DataPlaneStats reports the session's transport-level wakeup counters for

@@ -30,9 +30,6 @@ const (
 	// envShmLanes marks a lane-serving sentinel child and carries the lane
 	// count of the segment it must attach (same descriptor slots as envShm).
 	envShmLanes = "AF_SENTINEL_SHM_LANES"
-	// envShmNode tells the child which NUMA node its segment was bound to,
-	// so it pins its intake loop there (absent or -1: no pinning).
-	envShmNode = "AF_SHM_NODE"
 )
 
 // laneReadyTimeout bounds the wait for a fresh lane sentinel's ready beacon;
@@ -67,15 +64,10 @@ func shmLanesParam(m vfs.Manifest) (int, error) {
 
 // laneHub is the process-wide registry of shared lane segments, keyed by
 // manifest path so sessions of different active files never share a
-// sentinel. It also owns the NUMA probe: segments are spread round-robin
-// across the nodes that have CPUs, and each segment's demux loop is pinned
-// to its node.
+// sentinel.
 type laneHub struct {
-	mu     sync.Mutex
-	segs   map[string][]*laneSegment
-	probed bool
-	nodes  []int // NUMA nodes with CPUs; nil on single-node hosts
-	next   int   // round-robin cursor into nodes
+	mu   sync.Mutex
+	segs map[string][]*laneSegment
 }
 
 var lanePlane = &laneHub{segs: make(map[string][]*laneSegment)}
@@ -90,10 +82,6 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.probed {
-		h.probed = true
-		h.nodes = shm.NumaNodes()
-	}
 	live := h.segs[path][:0]
 	var conn *laneConn
 	for _, ls := range h.segs[path] {
@@ -109,12 +97,7 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 	if conn != nil {
 		return conn, "", nil
 	}
-	node := -1
-	if len(h.nodes) > 0 {
-		node = h.nodes[h.next%len(h.nodes)]
-		h.next++
-	}
-	ls, err := h.spawnSegment(path, m, lanes, node)
+	ls, err := h.spawnSegment(path, m, lanes)
 	if err != nil {
 		return nil, fmt.Sprintf("lane segment spawn failed: %v", err), nil
 	}
@@ -127,17 +110,14 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 	return conn, "", nil
 }
 
-// spawnSegment creates one shared segment, NUMA-places it, starts its
-// sentinel child, waits for the ready beacon, and starts the demux loop.
+// spawnSegment creates one shared segment, starts its sentinel child, waits
+// for the ready beacon, and starts the demux loop.
 // Called with the hub lock held: concurrent opens of the same manifest wait
 // for the boot rather than over-spawning children.
-func (h *laneHub) spawnSegment(path string, m vfs.Manifest, lanes, node int) (*laneSegment, error) {
+func (h *laneHub) spawnSegment(path string, m vfs.Manifest, lanes int) (*laneSegment, error) {
 	seg, err := shm.NewMPSC(lanes, 0, 0)
 	if err != nil {
 		return nil, err
-	}
-	if node >= 0 {
-		seg.PlaceSegment(node)
 	}
 	cf, err := ipc.NewChannelFiles(true)
 	if err != nil {
@@ -164,7 +144,6 @@ func (h *laneHub) spawnSegment(path string, m vfs.Manifest, lanes, node int) (*l
 		envManifest+"="+path,
 		envStrategy+"="+StrategyProcCtl.String(),
 		envShmLanes+"="+strconv.Itoa(lanes),
-		envShmNode+"="+strconv.Itoa(node),
 	)
 	cmd.ExtraFiles = append(cf.ChildFiles(), seg.ChildFiles()...)
 	cmd.Stderr = os.Stderr
@@ -173,7 +152,7 @@ func (h *laneHub) spawnSegment(path string, m vfs.Manifest, lanes, node int) (*l
 	}
 	cf.CloseChildEnds()
 
-	ls := &laneSegment{path: path, seg: seg, cf: cf, cmd: cmd, node: node}
+	ls := &laneSegment{path: path, seg: seg, cf: cf, cmd: cmd}
 	ls.mon = watchChild(cmd, func(waitErr error) {
 		if !ls.closing.Load() {
 			ls.fail(sentinelDeath(waitErr))
@@ -217,7 +196,6 @@ type laneSegment struct {
 	cf   *ipc.ChannelFiles
 	cmd  *exec.Cmd
 	mon  *childMonitor
-	node int // NUMA node the segment is bound to; -1 unplaced
 
 	// routes fans reply records out to sessions lock-free on the hot path;
 	// mu guards the lane lifecycle (claim, release, EOS bookkeeping) and the
@@ -292,30 +270,27 @@ func (ls *laneSegment) release(c *laneConn) {
 }
 
 // demux is the segment's single consumer: it drains the reply queue and
-// routes each record to its lane's session, pinned to the segment's NUMA
-// node so the consumer-side cursor traffic stays on-package.
+// routes each record to its lane's session.
 func (ls *laneSegment) demux() {
 	reply := ls.seg.Reply()
-	shm.PinConsumer(ls.node, func() {
-		for {
-			err := reply.Drain(func(lane uint16, kind shm.RecordKind, payload []byte) {
-				switch kind {
-				case shm.RecordFrame:
-					// Hot path: lock-free route lookup, one copy into the
-					// session's response queue. A cleared route (released
-					// lane) drops the straggler on the floor.
-					if c := ls.routes[lane].Load(); c != nil {
-						c.respQ.write(payload)
-					}
-				case shm.RecordEOS:
-					ls.laneQuiesced(lane)
+	for {
+		err := reply.Drain(func(lane uint16, kind shm.RecordKind, payload []byte) {
+			switch kind {
+			case shm.RecordFrame:
+				// Hot path: lock-free route lookup, one copy into the
+				// session's response queue. A cleared route (released
+				// lane) drops the straggler on the floor.
+				if c := ls.routes[lane].Load(); c != nil {
+					c.respQ.write(payload)
 				}
-			})
-			if err != nil {
-				return // segment closed (teardown or death hook)
+			case shm.RecordEOS:
+				ls.laneQuiesced(lane)
 			}
+		})
+		if err != nil {
+			return // segment closed (teardown or death hook)
 		}
-	})
+	}
 }
 
 // laneQuiesced handles the serving side's reply-EOS for a lane: the child's

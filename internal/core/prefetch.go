@@ -50,6 +50,7 @@ type prefetcher struct {
 	expect  int64 // offset the next sequential read would use
 	streak  int   // consecutive sequential reads observed
 	filling bool  // a fill is in flight; don't start another
+	stopped bool  // stop was called; no fill ever starts again
 
 	// The in-flight fill's coverage [fillBase, fillEnd) and completion
 	// signal. A read that misses the window but lands inside the fill's
@@ -230,7 +231,7 @@ func (p *prefetcher) afterRead(off int64, n, blockSize int, eof bool) {
 		p.expect = off + int64(n)
 	}
 	target := windowTarget(p.streak, blockSize)
-	if target == 0 || eof || p.filling {
+	if target == 0 || eof || p.filling || p.stopped {
 		p.mu.Unlock()
 		return
 	}
@@ -298,4 +299,22 @@ func (p *prefetcher) invalidate() {
 	p.eof = false
 	p.data = nil
 	p.mu.Unlock()
+}
+
+// stop retires read-ahead ahead of a close: no fill starts after it returns,
+// and an in-flight fill has landed by then. Close needs this barrier because
+// a fill's request frame must not trail the close command onto the channel —
+// the exiting peer has shut it by then, and the failed write would poison
+// the exchange still waiting for the close response.
+func (p *prefetcher) stop() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.stopped = true
+	filling, done := p.filling, p.fillDone
+	p.mu.Unlock()
+	if filling {
+		<-done
+	}
 }

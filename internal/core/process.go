@@ -474,7 +474,7 @@ func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
 // directions, both processes — the counters live in the shared segment) and
 // response frames decoded per receive wakeup on the mux.
 func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
-	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe", NumaNode: -1}
+	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe"}
 	switch {
 	case t.lane != nil:
 		// Shared segment: counters and descriptors are per segment, not per
@@ -490,7 +490,6 @@ func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
 		s.SegmentSessions = claimed + draining
 		s.SegmentFDs = 5 // segment file + four doorbells
 		s.DoorbellFDs = 4
-		s.NumaNode = ls.node
 	case t.seg != nil:
 		s.Carrier = "shm"
 		for _, r := range t.seg.Rings() {
@@ -653,6 +652,7 @@ func (t *procCtlTransport) control(req []byte) ([]byte, error) {
 
 func (t *procCtlTransport) close() error {
 	t.closing.Store(true)
+	t.pf.stop()
 	resp, rtErr := t.roundTrip(&wire.Request{Op: wire.OpClose}, nil)
 	t.mux.Close()
 	t.conn.Close()

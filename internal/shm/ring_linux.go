@@ -430,8 +430,12 @@ func (s *Segment) ringsIdle() bool {
 
 // Close marks the ring closed for both processes and rings both doorbells
 // so any parked side — ours or the peer's — wakes and observes it. The
-// shared flag is never cleared: a closed ring stays closed.
+// shared flag is never cleared: a closed ring stays closed. The inflight
+// gate keeps Segment.Close from unmapping the header or closing the
+// doorbells while a racing Close is still storing to them.
 func (r *Ring) Close() error {
+	r.inflight.Add(1)
+	defer r.inflight.Add(-1)
 	if !r.localClosed.CompareAndSwap(false, true) {
 		return nil
 	}

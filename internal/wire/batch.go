@@ -2,6 +2,7 @@ package wire
 
 import (
 	"io"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,6 @@ type BatchWriter struct {
 	w        io.Writer
 	data     io.Writer      // optional side channel for posted payloads
 	fc       FlushCoalescer // w's doorbell-deferral hook, when it has one (shm ring)
-	sub      Submitter      // batched-syscall backend for fd writers, nil = portable
 	cur      *pendingBatch
 	flushing bool
 	err      error // sticky transport failure
@@ -126,18 +126,10 @@ type pendingBatch struct {
 // NewBatchWriter returns a batching frame writer over w. When data is
 // non-nil, WritePost streams payloads on it in command order. A w that
 // coalesces flushes (FlushCoalescer — the shm ring's doorbell deferral) is
-// detected here once and bracketed on every flush. Plain fd writers (pipes,
-// net.Conns) instead get the best syscall backend the host offers: io_uring
-// when the kernel supports it, the portable write path otherwise.
+// detected here once and bracketed on every flush.
 func NewBatchWriter(w, data io.Writer) *BatchWriter {
 	fc, _ := w.(FlushCoalescer)
-	b := &BatchWriter{w: w, data: data, fc: fc}
-	if fc == nil {
-		// Shm rings are already syscall-free on the publish side; only
-		// syscall-bound writers benefit from a submitter.
-		b.sub = newSubmitter(w, data)
-	}
-	return b
+	return &BatchWriter{w: w, data: data, fc: fc}
 }
 
 // HasData reports whether a payload side channel is configured.
@@ -147,23 +139,13 @@ func (b *BatchWriter) HasData() bool { return b.data != nil }
 type BatchStats struct {
 	Flushes uint64 // vectored writes issued
 	Frames  uint64 // frames those writes carried
-	Backend string // submission backend: "io_uring" or "portable"
+	Backend string // submission path; always "portable" (plain vectored writes)
 }
 
 // Stats returns cumulative flush counters. Frames/Flushes is the batching
 // factor: 1.0 means no coalescing, N means N frames per syscall.
 func (b *BatchWriter) Stats() BatchStats {
-	return BatchStats{Flushes: b.flushes.Load(), Frames: b.frames.Load(), Backend: b.Backend()}
-}
-
-// Backend names the submission path flushes take: "io_uring" when batches
-// cross the kernel through a ring, "portable" for plain writes (including
-// the shm path, whose publishes are not syscalls at all).
-func (b *BatchWriter) Backend() string {
-	if b.sub != nil {
-		return b.sub.Name()
-	}
-	return "portable"
+	return BatchStats{Flushes: b.flushes.Load(), Frames: b.frames.Load(), Backend: "portable"}
 }
 
 // appendRequestFrame encodes r into the batch: envelope (plus inline payload)
@@ -368,21 +350,6 @@ func (b *BatchWriter) writeBatch(p *pendingBatch) error {
 		b.fc.BeginFlush()
 		defer b.fc.EndFlush()
 	}
-	if b.sub != nil {
-		// Both channels' bytes ride one Submit — on io_uring, one syscall
-		// for the whole two-span batch.
-		spans := make([]Span, 0, 2)
-		if s := spliceRefs(p.buf, p.refs); len(s) > 0 {
-			spans = append(spans, Span{W: b.w, Bufs: s})
-		}
-		if s := spliceRefs(p.dataBuf, p.dataRefs); len(s) > 0 {
-			spans = append(spans, Span{W: b.data, Bufs: s})
-		}
-		if len(spans) == 0 {
-			return nil
-		}
-		return b.sub.Submit(spans)
-	}
 	if err := writeVectored(b.w, p.buf, p.refs); err != nil {
 		return err
 	}
@@ -408,4 +375,29 @@ func writeVectored(w io.Writer, buf []byte, refs []payloadRef) error {
 	}
 	_, err := segs.WriteTo(w)
 	return err
+}
+
+// spliceRefs stitches by-reference payloads into buf at their recorded
+// positions, producing the vectored form of one write. A nil return means
+// there are no bytes to write.
+func spliceRefs(buf []byte, refs []payloadRef) net.Buffers {
+	if len(refs) == 0 {
+		if len(buf) == 0 {
+			return nil
+		}
+		return net.Buffers{buf}
+	}
+	segs := make(net.Buffers, 0, 2*len(refs)+1)
+	prev := 0
+	for _, ref := range refs {
+		if ref.pos > prev {
+			segs = append(segs, buf[prev:ref.pos])
+		}
+		segs = append(segs, ref.data)
+		prev = ref.pos
+	}
+	if prev < len(buf) {
+		segs = append(segs, buf[prev:])
+	}
+	return segs
 }

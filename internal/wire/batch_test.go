@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -314,4 +316,118 @@ func (l *lockedBuffer) bytes() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]byte(nil), l.buf.Bytes()...)
+}
+
+// TestBatchWriterOverPipesMatchesBufferEncoding flushes an inline frame and
+// a by-reference posted payload through real pipe descriptors and checks
+// both channels carry exactly the bytes the same calls encode into memory.
+func TestBatchWriterOverPipesMatchesBufferEncoding(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB}, 3*inlinePayload) // carried by reference
+	submit := func(bw *BatchWriter) {
+		t.Helper()
+		if err := bw.WriteRequest(&Request{Op: OpRead, Seq: 1, N: 64}); err != nil {
+			t.Fatalf("WriteRequest: %v", err)
+		}
+		if err := bw.WritePost(&Request{Op: OpWrite, Seq: 2, N: int64(len(payload))}, payload); err != nil {
+			t.Fatalf("WritePost: %v", err)
+		}
+	}
+
+	var wantCtrl, wantData bytes.Buffer
+	submit(NewBatchWriter(&wantCtrl, &wantData))
+
+	pipe := func() (*os.File, *os.File, chan []byte) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(r)
+			r.Close()
+			got <- b
+		}()
+		return r, w, got
+	}
+	_, cw, gotCtrl := pipe()
+	_, dw, gotData := pipe()
+	bw := NewBatchWriter(cw, dw)
+	submit(bw)
+	cw.Close()
+	dw.Close()
+
+	if got := <-gotCtrl; !bytes.Equal(got, wantCtrl.Bytes()) {
+		t.Fatalf("control pipe carried %d bytes, want %d identical to the buffer encoding", len(got), wantCtrl.Len())
+	}
+	if got := <-gotData; !bytes.Equal(got, wantData.Bytes()) {
+		t.Fatalf("data pipe carried %d bytes, want %d identical to the buffer encoding", len(got), wantData.Len())
+	}
+}
+
+// TestBatchWriterFrameCrossesPipe: a frame flushed into a real pipe decodes
+// intact on the reading end, with the writer blocked until the reader drains.
+func TestBatchWriterFrameCrossesPipe(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	bw := NewBatchWriter(w, nil)
+
+	done := make(chan error, 1)
+	go func() { done <- bw.WriteRequest(&Request{Op: OpRead, Seq: 7, N: 32}) }()
+	req, err := NewReader(r).ReadRequest()
+	if err != nil {
+		t.Fatalf("ReadRequest: %v", err)
+	}
+	if werr := <-done; werr != nil {
+		t.Fatalf("WriteRequest: %v", werr)
+	}
+	if req.Op != OpRead || req.Seq != 7 || req.N != 32 {
+		t.Fatalf("frame mangled crossing the pipe: %+v", req)
+	}
+}
+
+// TestBatchWriterBackendIsPortable: fd and non-fd writers alike flush
+// through the portable vectored path, and Stats says so.
+func TestBatchWriterBackendIsPortable(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	for _, bw := range []*BatchWriter{NewBatchWriter(w, nil), NewBatchWriter(io.Discard, nil)} {
+		if got := bw.Stats().Backend; got != "portable" {
+			t.Fatalf("Stats().Backend = %q, want portable", got)
+		}
+	}
+}
+
+func TestSpliceRefs(t *testing.T) {
+	cases := []struct {
+		name string
+		buf  string
+		refs []payloadRef
+		want []string
+	}{
+		{"empty", "", nil, nil},
+		{"inline only", "abcdef", nil, []string{"abcdef"}},
+		{"ref mid", "abcd", []payloadRef{{pos: 2, data: []byte("XY")}}, []string{"ab", "XY", "cd"}},
+		{"ref at start", "abcd", []payloadRef{{pos: 0, data: []byte("XY")}}, []string{"XY", "abcd"}},
+		{"ref at end", "abcd", []payloadRef{{pos: 4, data: []byte("XY")}}, []string{"abcd", "XY"}},
+		{"adjacent refs", "ab", []payloadRef{{pos: 2, data: []byte("X")}, {pos: 2, data: []byte("Y")}},
+			[]string{"ab", "X", "Y"}},
+	}
+	for _, tc := range cases {
+		segs := spliceRefs([]byte(tc.buf), tc.refs)
+		var got []string
+		for _, s := range segs {
+			got = append(got, string(s))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: spliceRefs = %q, want %q", tc.name, got, tc.want)
+		}
+	}
 }
