@@ -34,8 +34,6 @@ race:
 		./internal/daemon ./internal/remote ./cmd/afd
 	$(GO) test -race -count=1 -run 'Fleet|Lease|Refusal|Map' \
 		./internal/fleet ./internal/remote ./internal/cache
-	$(GO) test -race -count=1 -run 'MPSC|Lane' \
-		./internal/shm ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the
@@ -60,10 +58,11 @@ bench-smoke:
 
 # Write the machine-readable benchmark report: the Figure 6 panels plus
 # the concurrency sweeps (with frame-batching amortization), the
-# many-tenant session sweep (admission, quota rejections, drain), the
-# fleet-scale session cohorts (MPSC lane plane descriptor economy at
-# 64/256/1024 sessions), and the open/close churn sweep. The default output is git-ignored; the committed BENCH_*.json
-# files are frozen history. Override BENCH_JSON to write elsewhere.
+# pipe-vs-shm carrier sweep, the backend sweep, the many-tenant session
+# sweep (admission, quota rejections, drain), the fleet scaling sweep, and
+# the open/close churn sweep. The default output is git-ignored; the
+# committed BENCH_*.json files are frozen history. Override BENCH_JSON to
+# write elsewhere.
 bench-json:
 	$(GO) run ./cmd/afbench -full -json $(BENCH_JSON)
 

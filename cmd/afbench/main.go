@@ -40,12 +40,6 @@
 //
 //	afbench -fleet 1,2,4
 //
-// With -sessions it sweeps fleet-scale session cohorts — N concurrent
-// sessions multiplexed over the MPSC lane plane versus dedicated shm and
-// pipe sentinels, with the data plane's descriptor deltas per cohort:
-//
-//	afbench -sessions 64,256,1024
-//
 // With -full it runs the Figure 6 panels, a remote-path concurrency sweep,
 // the many-tenant session sweep, the fleet scaling sweep, and the churn
 // sweep, merging everything into one JSON report:
@@ -98,7 +92,6 @@ func run(args []string) error {
 		tenants     = flags.String("tenants", "", "comma-separated concurrent-session counts (e.g. 64,1024); sweeps the daemon's multi-tenant session layer instead of Figure 6")
 		fleetCells  = flags.String("fleet", "", "comma-separated shard counts (e.g. 1,2,4); sweeps sharded-fleet scaling instead of Figure 6")
 		fleetBW     = flags.Int("fleet-bw", bench.DefaultFleetBandwidthMB, "per-shard bandwidth cap for the fleet sweep in MB/s (negative = uncapped)")
-		sessions    = flags.String("sessions", "", "comma-separated session-cohort sizes (e.g. 64,256,1024); sweeps fleet-scale session multiplexing instead of Figure 6")
 		churn       = flags.Int("churn", 0, "sweep open/close churn with this many opens per cell instead of Figure 6")
 		pool        = flags.Int("pool", bench.DefaultChurnPool, "warm sentinel pool size for the churn sweep's pooled cell")
 		full        = flags.Bool("full", false, "run Figure 6 + a remote concurrency sweep + the churn sweep, merged into one JSON report")
@@ -226,17 +219,6 @@ func run(args []string) error {
 		}
 	}
 
-	var sessionCounts []int
-	if *sessions != "" {
-		for _, part := range strings.Split(*sessions, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("bad session cohort size %q", part)
-			}
-			sessionCounts = append(sessionCounts, n)
-		}
-	}
-
 	var fleetShards []int
 	if *fleetCells != "" {
 		for _, part := range strings.Split(*fleetCells, ",") {
@@ -276,27 +258,7 @@ func run(args []string) error {
 	}
 
 	if *full {
-		return runFull(runner, opts, *ops, *churn, *pool, tenantCells, fleetShards, *fleetBW, sessionCounts, params, *jsonPath)
-	}
-
-	if sessionCounts != nil {
-		sopts := bench.SessionsOptions{Counts: sessionCounts, Params: params}
-		results, err := runner.RunSessions(sopts)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteSessionsTable(os.Stdout, results); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			rep := bench.BuildReport(nil, *ops, params)
-			rep.AddSessions(results)
-			if err := rep.WriteJSONFile(*jsonPath); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		return nil
+		return runFull(runner, opts, *ops, *churn, *pool, tenantCells, fleetShards, *fleetBW, params, *jsonPath)
 	}
 
 	if fleetShards != nil {
@@ -467,7 +429,7 @@ func run(args []string) error {
 // per small block size (where command-channel batching shows), the
 // many-tenant session sweep, and the open/close churn sweep — and merges
 // everything into one JSON report.
-func runFull(runner *bench.Runner, opts bench.FigureOptions, ops, churnOpens, pool int, tenantCells, fleetShards []int, fleetBW int, sessionCounts []int, params map[string]string, jsonPath string) error {
+func runFull(runner *bench.Runner, opts bench.FigureOptions, ops, churnOpens, pool int, tenantCells, fleetShards []int, fleetBW int, params map[string]string, jsonPath string) error {
 	fmt.Printf("active files — full battery (%d ops per point)\n\n", ops)
 	panels, err := runner.RunFigure6(opts)
 	if err != nil {
@@ -567,18 +529,6 @@ func runFull(runner *bench.Runner, opts bench.FigureOptions, ops, churnOpens, po
 		return err
 	}
 	rep.AddFleet(fOpts, fResults)
-
-	// Fleet-scale session sweep: cohorts of concurrent sessions over the MPSC
-	// lane plane (with descriptor deltas) against the process-per-session
-	// baselines.
-	seResults, err := runner.RunSessions(bench.SessionsOptions{Counts: sessionCounts, Params: params})
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteSessionsTable(os.Stdout, seResults); err != nil {
-		return err
-	}
-	rep.AddSessions(seResults)
 
 	if churnOpens <= 0 {
 		churnOpens = bench.DefaultChurnOpens

@@ -132,11 +132,9 @@ func NewRunner(dir string) (*Runner, error) {
 }
 
 // Close stops the remote service and retires any warm sentinels the churn
-// cells left parked and shared lane segments the session cells spawned, so a
-// finished run leaks no subprocesses.
+// cells left parked, so a finished run leaks no subprocesses.
 func (r *Runner) Close() error {
 	core.DrainSentinelPool()
-	core.DrainSharedSegments()
 	return r.server.Close()
 }
 

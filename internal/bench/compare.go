@@ -245,30 +245,6 @@ func WriteCompareTable(w io.Writer, oldRep, newRep *Report) error {
 		}
 	}
 
-	// Session sweep, when both reports carry it (pre-v8 have none).
-	// Latency cells: negative delta is the improvement.
-	if len(oldRep.Sessions) > 0 && len(newRep.Sessions) > 0 {
-		oldSe := map[string]SessionsReportRow{}
-		for _, row := range oldRep.Sessions {
-			oldSe[fmt.Sprintf("%s/x%d", row.Cell, row.Sessions)] = row
-		}
-		if _, err := fmt.Fprintf(w, "\nsession sweep (aggregate µs/op)\n%-34s%10s%10s%9s\n", "cell", "old", "new", "delta"); err != nil {
-			return err
-		}
-		for _, row := range newRep.Sessions {
-			key := fmt.Sprintf("%s/x%d", row.Cell, row.Sessions)
-			old, ok := oldSe[key]
-			if !ok {
-				unmatched++
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%-34s%10.1f%10.1f%+8.1f%%\n",
-				key, old.MicrosPerOp, row.MicrosPerOp, deltaPct(old.MicrosPerOp, row.MicrosPerOp)); err != nil {
-				return err
-			}
-		}
-	}
-
 	if unmatched > 0 {
 		if _, err := fmt.Fprintf(w, "\n(%d cells present in only one report were skipped)\n", unmatched); err != nil {
 			return err

@@ -17,11 +17,10 @@ import (
 // in parallel cells; v6 added the many-tenant session sweep (concurrent
 // sessions, quota rejections, drain latency); v7 added the sharded-fleet
 // scaling sweep (aggregate throughput vs shard count, hot-file replication);
-// v8 added the fleet-scale session sweep (MPSC lane multiplexing with
-// descriptor deltas) and the submitter/frames-per-flush columns on the
-// syscall-economy cells; the submitter column has since been dropped, and
-// reports that carry it still load. Older reports remain loadable for
-// comparison.
+// v8 added a fleet-scale session sweep and the submitter/frames-per-flush
+// columns on the syscall-economy cells; the session sweep and the submitter
+// column have since been dropped, and reports that carry them still load
+// (their keys are ignored). Older reports remain loadable for comparison.
 const ReportSchema = "afbench/v8"
 
 // Report is the machine-readable form of a benchmark run, written by
@@ -53,25 +52,6 @@ type Report struct {
 	// aggregate read throughput against 1/2/4 bandwidth-capped shards, plus
 	// the hot-file replication pair.
 	Fleet []FleetReportRow `json:"fleet,omitempty"`
-	// Sessions holds the fleet-scale session sweep (afbench -full /
-	// -sessions): N concurrent sessions per cell with the data plane's
-	// descriptor deltas — the MPSC lane plane's O(1)-doorbells-per-segment
-	// contract made measurable.
-	Sessions []SessionsReportRow `json:"sessions,omitempty"`
-}
-
-// SessionsReportRow is one (cell, cohort size) point of the session sweep.
-type SessionsReportRow struct {
-	Cell                string  `json:"cell"`
-	Sessions            int     `json:"sessions"`
-	Block               int     `json:"block"`
-	OpsPerSession       int     `json:"opsPerSession"`
-	MicrosPerOp         float64 `json:"microsPerOp"`
-	OpenMillis          float64 `json:"openMillis"`
-	Segments            int64   `json:"segments"`
-	DoorbellFDs         int64   `json:"doorbellFDs"`
-	LaneSessions        int64   `json:"laneSessions,omitempty"`
-	DoorbellsPerSegment float64 `json:"doorbellsPerSegment,omitempty"`
 }
 
 // FleetReportRow is one cell of the fleet scaling sweep. Speedup is the
@@ -352,27 +332,6 @@ func (rep *Report) AddFleet(opts FleetOptions, results []FleetResult) {
 			row.Speedup = res.MBPerSec() / b
 		}
 		rep.Fleet = append(rep.Fleet, row)
-	}
-}
-
-// AddSessions appends the fleet-scale session sweep to the report.
-func (rep *Report) AddSessions(results []SessionsResult) {
-	for _, res := range results {
-		row := SessionsReportRow{
-			Cell:          res.Cell,
-			Sessions:      res.Sessions,
-			Block:         res.Block,
-			OpsPerSession: res.OpsPerSession,
-			MicrosPerOp:   res.MicrosPerOp(),
-			OpenMillis:    res.OpenMillis,
-			Segments:      res.Segments,
-			DoorbellFDs:   res.DoorbellFDs,
-			LaneSessions:  res.LaneSessions,
-		}
-		if dps, ok := res.DoorbellsPerSegment(); ok {
-			row.DoorbellsPerSegment = dps
-		}
-		rep.Sessions = append(rep.Sessions, row)
 	}
 }
 

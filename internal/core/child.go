@@ -78,12 +78,6 @@ func runChild() error {
 		if ctrl == nil {
 			return errors.New("sentinel control pipe not inherited")
 		}
-		if os.Getenv(envShmLanes) != "" {
-			// Shared-segment sentinel: serve every lane of the inherited
-			// MPSC segment, each lane running the standard control loop
-			// against its own handler instance.
-			return runLaneChild(m, openProgram, out, ctrl)
-		}
 		opts := ctrlOptions{
 			readAhead:   m.Params["readahead"] != "false",
 			writeBehind: m.Params["writebehind"] == "true",

@@ -129,18 +129,16 @@ func (h *Handle) BatchStats() (wire.BatchStats, bool) {
 // both processes and both directions.
 type DataPlaneStats struct {
 	Carrier         string // "shm" or "pipe"
-	CarrierFallback string // carrier demotion reason (shm→pipe, lane→dedicated), when any
+	CarrierFallback string // shm→pipe demotion reason, when any
 	Doorbells       uint64 // eventfd doorbells rung, all rings, both sides
 	Suppressed      uint64 // wakeups avoided (peer running, or coalesced into a flush)
 	RecvFrames      uint64 // response frames the client receive loop decoded
 	RecvWakeups     uint64 // read syscalls that delivered them (0 on shm: no hot-path reads)
 
-	// Descriptor economy of the session's segment. On the shared MPSC lane
-	// plane many sessions split one segment's descriptors; SegmentSessions
-	// says how many ways, so fds-per-session = SegmentFDs / SegmentSessions.
-	// A dedicated segment reports SegmentSessions 1; the pipe carrier, all
-	// zeros.
-	SegmentSessions int // sessions multiplexed on this session's segment (incl. draining)
+	// Descriptor economy of the session's segment, so fds-per-session =
+	// SegmentFDs / SegmentSessions. Every shm session owns its segment and
+	// reports SegmentSessions 1; the pipe carrier reports all zeros.
+	SegmentSessions int // sessions on this session's segment (always 1 on shm)
 	SegmentFDs      int // parent-side descriptors the segment pins (file + doorbells)
 	DoorbellFDs     int // doorbell eventfds among them
 }

@@ -332,6 +332,11 @@ func DrainSentinelPool() {
 	procPool.drain()
 }
 
+// DrainSharedSegments does nothing. Every shm session owns its segment and
+// sentinel, both reaped at Close, so no shared segment outlives a session.
+// It is kept for callers written against an earlier shared-segment carrier.
+func DrainSharedSegments() {}
+
 // IdleSentinels reports how many warm sentinels are parked for the manifest
 // at path — observability for churn benchmarks and tests.
 func IdleSentinels(path string) int {

@@ -285,8 +285,7 @@ func (t *processTransport) close() error {
 type procCtlTransport struct {
 	cmd       *exec.Cmd
 	cf        *ipc.ChannelFiles
-	seg       *shm.Segment  // dedicated shared-memory segment; nil on pipe or lane carriers
-	lane      *laneConn     // shared MPSC lane; nil off the lane plane
+	seg       *shm.Segment  // shared-memory segment; nil on the pipe carrier
 	fallback  string        // why the requested carrier was demoted ("" otherwise)
 	conn      ipc.FrameConn // the session conduit the mux runs over
 	mux       *ipc.Mux
@@ -315,53 +314,18 @@ func newProcCtlTransport(manifestPath string, m vfs.Manifest) (*procCtlTransport
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := shmLanesParam(m)
-	if err != nil {
-		return nil, err
-	}
-	var laneFallback string
-	if lanes > 0 {
-		// Lane plane: multiplex this session onto a shared MPSC segment —
-		// one sentinel and five descriptors serve up to `lanes` sessions of
-		// this manifest. Any plane-level refusal falls back to a dedicated
-		// session below, with the reason surfaced through carrier stats.
-		t, reason, err := acquireLaneTransport(manifestPath, m, opTimeout, lanes)
-		if err != nil {
-			return nil, err
-		}
-		if t != nil {
-			return t, nil
-		}
-		laneFallback = "lane plane: " + reason
-	}
 	if poolN > 0 {
 		// Warm path: adopt a pre-spawned sentinel and rebind it with one
 		// pipe handshake instead of fork+exec. The pool is topped back up
 		// when this session closes, not here — see close().
 		if t, ok := acquireWarmTransport(manifestPath, m, opTimeout); ok {
 			t.poolPath, t.poolM, t.poolN = manifestPath, m, poolN
-			if laneFallback != "" {
-				if t.fallback != "" {
-					t.fallback = laneFallback + "; " + t.fallback
-				} else {
-					t.fallback = laneFallback
-				}
-			}
 			return t, nil
 		}
 	}
 	cmd, cf, seg, fallback, err := spawnSentinel(manifestPath, m, StrategyProcCtl)
 	if err != nil {
 		return nil, err
-	}
-	if laneFallback != "" {
-		// The session runs, but not on the shared plane it asked for; keep
-		// both demotion reasons visible.
-		if fallback != "" {
-			fallback = laneFallback + "; " + fallback
-		} else {
-			fallback = laneFallback
-		}
 	}
 	t := &procCtlTransport{
 		cmd:       cmd,
@@ -401,57 +365,6 @@ func newProcCtlTransport(manifestPath string, m vfs.Manifest) (*procCtlTransport
 	return t, nil
 }
 
-// acquireLaneTransport opens one session on the shared MPSC lane plane. A
-// nil transport with a non-empty reason means the plane refused (no lanes,
-// spawn failure, unsupported platform) and the caller should fall back to a
-// dedicated session; a non-nil error is a real session error — the program
-// itself refused to open — that a dedicated sentinel would report
-// identically, so no fallback is warranted.
-func acquireLaneTransport(manifestPath string, m vfs.Manifest, opTimeout time.Duration, lanes int) (*procCtlTransport, string, error) {
-	conn, reason, err := lanePlane.acquire(manifestPath, m, lanes)
-	if err != nil {
-		return nil, "", err
-	}
-	if conn == nil {
-		return nil, reason, nil
-	}
-	t := &procCtlTransport{
-		lane:      conn,
-		conn:      conn,
-		mon:       conn.ls.mon,
-		opTimeout: opTimeout,
-	}
-	t.mux = ipc.NewMuxConn(conn)
-	// Death fan-out: the hub's child monitor reaches this session through
-	// the conduit's onFail hook. If the shared sentinel died before the hook
-	// was set, the response queue is already closed and the handshake below
-	// poisons the mux through its EOF instead.
-	conn.setOnFail(func(err error) {
-		if !t.closing.Load() {
-			t.mux.Fail(err)
-		}
-	})
-	// OpOpen handshake: the lane's server opens its own handler instance and
-	// answers with the outcome — the same rebind a warm-pool adoption runs.
-	ctx, cancel := context.WithTimeout(context.Background(), laneOpenTimeout)
-	resp, rtErr := t.mux.RoundTripContext(ctx, &wire.Request{Op: wire.OpOpen}, nil)
-	cancel()
-	if rtErr != nil {
-		t.mux.Close()
-		conn.Close()
-		return nil, fmt.Sprintf("lane open handshake: %v", rtErr), nil
-	}
-	if oerr := wire.ToError(wire.OpOpen, resp.Status, resp.Msg); oerr != nil {
-		t.mux.Close()
-		conn.Close()
-		return nil, "", oerr
-	}
-	if m.Params["readahead"] != "false" {
-		t.pf = newPrefetcher(t.muxReadAt, true)
-	}
-	return t, "", nil
-}
-
 // batchStats exposes the mux's command-channel flush amortization to
 // Handle.BatchStats.
 func (t *procCtlTransport) batchStats() wire.BatchStats { return t.mux.BatchStats() }
@@ -460,10 +373,7 @@ func (t *procCtlTransport) batchStats() wire.BatchStats { return t.mux.BatchStat
 // requested shm carrier was demoted, the one-shot rejection reason recorded
 // at spawn — surfaced through Handle.Stats so silent fallback is observable.
 func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
-	if t.lane != nil || t.seg != nil {
-		// Ring carrier — dedicated segment or a lane of a shared one. The
-		// fallback slot still reports a lane→dedicated demotion, so an
-		// operator can tell a chosen dedicated segment from a demoted one.
+	if t.seg != nil {
 		return "shm", t.fallback
 	}
 	return "pipe", t.fallback
@@ -475,22 +385,7 @@ func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
 // response frames decoded per receive wakeup on the mux.
 func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
 	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe"}
-	switch {
-	case t.lane != nil:
-		// Shared segment: counters and descriptors are per segment, not per
-		// session — SegmentSessions says how many ways they are split.
-		s.Carrier = "shm"
-		ls := t.lane.ls
-		for _, q := range []*shm.MPSCQueue{ls.seg.Cmd(), ls.seg.Reply()} {
-			qs := q.Stats()
-			s.Doorbells += qs.Doorbells
-			s.Suppressed += qs.Suppressed
-		}
-		claimed, draining := ls.seg.LaneCounts()
-		s.SegmentSessions = claimed + draining
-		s.SegmentFDs = 5 // segment file + four doorbells
-		s.DoorbellFDs = 4
-	case t.seg != nil:
+	if t.seg != nil {
 		s.Carrier = "shm"
 		for _, r := range t.seg.Rings() {
 			rs := r.Stats()
@@ -656,18 +551,6 @@ func (t *procCtlTransport) close() error {
 	resp, rtErr := t.roundTrip(&wire.Request{Op: wire.OpClose}, nil)
 	t.mux.Close()
 	t.conn.Close()
-	if t.lane != nil {
-		// Lane session: hand the lane back and leave. The shared sentinel
-		// keeps serving every other lane; only the hub (or its death) reaps
-		// it. The close barrier above already settled this session's writes.
-		if rtErr != nil {
-			if waitErr, dead := t.mon.exited(); dead {
-				return sentinelDeath(waitErr)
-			}
-			return rtErr
-		}
-		return wire.ToError(wire.OpClose, resp.Status, resp.Msg)
-	}
 	waitErr := t.mon.reap()
 	if t.poolN > 0 {
 		// Recycle point: replace whatever this session consumed from the

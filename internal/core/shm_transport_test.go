@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -241,4 +245,92 @@ func TestPipeTransportHasNoSegment(t *testing.T) {
 	if err := tr.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+}
+
+// TestShmManifestIgnoresRetiredLaneParam: testdata/shm-lanes.af is a
+// manifest written for the retired shared-lane carrier (transport=shm plus a
+// lane count). It still opens, now on a private segment with its own
+// sentinel — carrier shm, no demotion reason — and that one sentinel is
+// reaped at close.
+func TestShmManifestIgnoresRetiredLaneParam(t *testing.T) {
+	requireShm(t)
+	DrainSentinelPool() // settle pool spawns left by earlier tests
+	raw, err := os.ReadFile(filepath.Join("testdata", "shm-lanes.af"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.af")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(vfs.DataPath(path), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := childPIDs(t)
+	h, err := Open(path, Options{Strategy: StrategyProcCtl})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if s := h.Stats(); s.Carrier != "shm" || s.CarrierFallback != "" {
+		t.Fatalf("carrier stats = %q/%q, want shm with no fallback", s.Carrier, s.CarrierFallback)
+	}
+	var spawned []int
+	for pid := range childPIDs(t) {
+		if !before[pid] {
+			spawned = append(spawned, pid)
+		}
+	}
+	if len(spawned) != 1 {
+		t.Fatalf("open spawned child processes %v, want exactly one sentinel", spawned)
+	}
+
+	msg := []byte("written through an old lane manifest")
+	if n, err := h.WriteAt(msg, 0); err != nil || n != len(msg) {
+		t.Fatalf("WriteAt = %d, %v", n, err)
+	}
+	if err := h.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	got := make([]byte, len(msg))
+	if n, err := h.ReadAt(got, 0); err != nil || n != len(msg) || !bytes.Equal(got, msg) {
+		t.Fatalf("ReadAt = %d %q, %v; want %q", n, got, err, msg)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if childPIDs(t)[spawned[0]] {
+		t.Fatalf("sentinel %d outlived Close", spawned[0])
+	}
+}
+
+// childPIDs lists this process's live child processes from /proc. A reaped
+// child vanishes from /proc, so a pid missing here has been waited for.
+func childPIDs(t *testing.T) map[int]bool {
+	t.Helper()
+	entries, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Skipf("no /proc: %v", err)
+	}
+	self := os.Getpid()
+	kids := map[int]bool{}
+	for _, e := range entries {
+		pid, err := strconv.Atoi(e.Name())
+		if err != nil {
+			continue
+		}
+		stat, err := os.ReadFile(filepath.Join("/proc", e.Name(), "stat"))
+		if err != nil {
+			continue // exited between ReadDir and here
+		}
+		// "pid (comm) state ppid ...": comm may hold spaces, so parse after
+		// its closing parenthesis.
+		fields := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:]))
+		if len(fields) > 1 {
+			if ppid, err := strconv.Atoi(fields[1]); err == nil && ppid == self {
+				kids[pid] = true
+			}
+		}
+	}
+	return kids
 }

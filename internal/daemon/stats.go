@@ -38,9 +38,7 @@ type Stats struct {
 
 	// DataPlane reports the process-wide descriptor economy of the shared-
 	// memory data plane: mapped segments, their backing files and doorbell
-	// eventfds, and the sessions multiplexed over MPSC lane segments. The
-	// fleet-scale contract is visible here: doorbell fds grow with segments,
-	// not with sessions.
+	// eventfds. It is absent when no segment is mapped.
 	DataPlane *DataPlaneFDStats `json:"dataPlane,omitempty"`
 }
 
@@ -49,7 +47,6 @@ type DataPlaneFDStats struct {
 	Segments     int64 `json:"segments"`
 	SegmentFiles int64 `json:"segmentFiles"`
 	DoorbellFDs  int64 `json:"doorbellFDs"`
-	LaneSessions int64 `json:"laneSessions"`
 }
 
 // ShardStats is the fleet-facing slice of one shard's snapshot.
@@ -113,7 +110,6 @@ func (r *Registry) Snapshot() Stats {
 			Segments:     fds.Segments,
 			SegmentFiles: fds.SegmentFiles,
 			DoorbellFDs:  fds.DoorbellFDs,
-			LaneSessions: fds.LaneSessions,
 		}
 	}
 

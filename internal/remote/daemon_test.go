@@ -142,14 +142,27 @@ func TestTenantBackpressureNeverDeadlocks(t *testing.T) {
 	if overloaded.Load() == 0 {
 		t.Error("no reads rejected: the in-flight bound never engaged")
 	}
-	st := srv.Registry().Snapshot()
-	if st.InFlight != 0 {
-		t.Errorf("in-flight gauge = %d after burst settled", st.InFlight)
-	}
+	st := settledSnapshot(t, srv)
 	if st.Tenants[0].RejectedOverload != overloaded.Load() {
 		t.Errorf("server counted %d overload rejections, clients saw %d",
 			st.Tenants[0].RejectedOverload, overloaded.Load())
 	}
+}
+
+// settledSnapshot returns the server's stats once no operation is in
+// flight. The server settles an operation's accounting just after its reply
+// ships, so a client can see its last reply before the gauges do; poll for
+// up to 5 s before calling a nonzero gauge a leak.
+func settledSnapshot(t *testing.T, srv *FileServer) daemon.Stats {
+	t.Helper()
+	st := srv.Registry().Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); st.InFlight != 0; st = srv.Registry().Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight gauge = %d 5s after the clients finished", st.InFlight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return st
 }
 
 // TestGracefulDrain: shutdown with an operation in flight lets it finish
@@ -267,10 +280,7 @@ func TestManyTenantStress(t *testing.T) {
 		t.Fatal("no tenant session completed")
 	}
 
-	st := srv.Registry().Snapshot()
-	if st.InFlight != 0 {
-		t.Errorf("in-flight gauge = %d after the fleet settled", st.InFlight)
-	}
+	st := settledSnapshot(t, srv)
 	if len(st.Tenants) != tenants {
 		t.Errorf("tenant rows = %d, want %d", len(st.Tenants), tenants)
 	}

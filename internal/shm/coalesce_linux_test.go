@@ -242,19 +242,7 @@ func TestSharedDoorbellCountersCrossAttach(t *testing.T) {
 // for both — they share the header flags).
 func attachClone(t *testing.T, s *Segment) *Segment {
 	t.Helper()
-	files := s.ChildFiles()
-	dup := func(f *os.File) *os.File {
-		fd, err := syscall.Dup(int(f.Fd()))
-		if err != nil {
-			t.Fatalf("dup: %v", err)
-		}
-		return os.NewFile(uintptr(fd), f.Name())
-	}
-	segFile := dup(files[0])
-	bells := make([]*os.File, len(files)-1)
-	for i, f := range files[1:] {
-		bells[i] = dup(f)
-	}
+	segFile, bells := dupFiles(t, s)
 	att, err := Attach(segFile, bells)
 	if err != nil {
 		segFile.Close()
@@ -267,44 +255,61 @@ func attachClone(t *testing.T, s *Segment) *Segment {
 	return att
 }
 
-// TestMultiRingSegmentGeometry pins the v2 layout: NewMulti carves the
-// requested pairs, the directory names and sizes them, every pair moves
-// bytes independently, and the epoch advances under AdvanceEpoch.
+// dupFiles duplicates s's ChildFiles descriptors, split the way Attach takes
+// them: the segment file, then the doorbells.
+func dupFiles(t *testing.T, s *Segment) (*os.File, []*os.File) {
+	t.Helper()
+	files := s.ChildFiles()
+	dups := make([]*os.File, len(files))
+	for i, f := range files {
+		fd, err := syscall.Dup(int(f.Fd()))
+		if err != nil {
+			t.Fatalf("dup: %v", err)
+		}
+		dups[i] = os.NewFile(uintptr(fd), f.Name())
+	}
+	return dups[0], dups[1:]
+}
+
+// TestMultiRingSegmentGeometry pins the v2 layout: New carves one command
+// and one reply ring, the directory places them back to back, both
+// directions move bytes independently, and the epoch advances under
+// AdvanceEpoch.
 func TestMultiRingSegmentGeometry(t *testing.T) {
-	const pairs = 3
-	s, err := NewMulti(pairs, 0, 0)
+	s, err := New(8<<10, 16<<10)
 	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 
 	rings := s.Rings()
-	if len(rings) != 2*pairs {
-		t.Fatalf("NewMulti(%d) carved %d rings, want %d", pairs, len(rings), 2*pairs)
+	if len(rings) != segRings {
+		t.Fatalf("New carved %d rings, want %d", len(rings), segRings)
 	}
 	if s.Cmd() != rings[0] || s.Reply() != rings[1] {
-		t.Fatal("Cmd/Reply accessors do not alias pair 0")
+		t.Fatal("Cmd/Reply accessors do not alias rings 0 and 1")
+	}
+	if d := s.hdr.dir; s.hdr.nrings != segRings ||
+		d[0].off != segHdrBytes || d[0].cap != 8<<10 ||
+		d[1].off != d[0].off+ringHdrBytes+d[0].cap || d[1].cap != 16<<10 {
+		t.Fatalf("directory = %d rings %+v", s.hdr.nrings, d)
 	}
 	// 1 segment file + 2 bells per ring.
-	if got, want := len(s.ChildFiles()), 1+4*pairs; got != want {
+	if got, want := len(s.ChildFiles()), 1+2*segRings; got != want {
 		t.Fatalf("ChildFiles = %d files, want %d", got, want)
 	}
 
-	// Each pair is an independent conduit.
-	for p := 0; p < pairs; p++ {
-		for dir := 0; dir < 2; dir++ {
-			r := rings[2*p+dir]
-			msg := []byte{byte(p), byte(dir), 0xAA}
-			if _, err := r.Write(msg); err != nil {
-				t.Fatalf("pair %d dir %d write: %v", p, dir, err)
-			}
-			got := make([]byte, len(msg))
-			if _, err := io.ReadFull(r, got); err != nil {
-				t.Fatalf("pair %d dir %d read: %v", p, dir, err)
-			}
-			if !bytes.Equal(got, msg) {
-				t.Fatalf("pair %d dir %d: got %v want %v", p, dir, got, msg)
-			}
+	for i, r := range rings {
+		msg := []byte{byte(i), 0xAA}
+		if _, err := r.Write(msg); err != nil {
+			t.Fatalf("ring %d write: %v", i, err)
+		}
+		got := make([]byte, len(msg))
+		if _, err := io.ReadFull(r, got); err != nil {
+			t.Fatalf("ring %d read: %v", i, err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("ring %d: got %v want %v", i, got, msg)
 		}
 	}
 
@@ -321,9 +326,9 @@ func TestMultiRingSegmentGeometry(t *testing.T) {
 // region — epoch bumps on one side are visible on the other, and the
 // directory reproduces the creator's ring geometry.
 func TestMultiRingAttachSharesEpoch(t *testing.T) {
-	s, err := NewMulti(2, 0, 0)
+	s, err := New(0, 0)
 	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	att := attachClone(t, s)
@@ -337,13 +342,13 @@ func TestMultiRingAttachSharesEpoch(t *testing.T) {
 		t.Fatalf("attached view reads epoch %d, want 2", got)
 	}
 
-	// Cross-view traffic on a non-zero pair: creator writes ring 2, attached
+	// Cross-view traffic on the reply ring: creator writes it, the attached
 	// view reads it out of the same memory.
-	if _, err := s.Rings()[2].Write([]byte("pair1")); err != nil {
+	if _, err := s.Reply().Write([]byte("reply")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got := make([]byte, 5)
-	if _, err := io.ReadFull(att.Rings()[2], got); err != nil || string(got) != "pair1" {
+	if _, err := io.ReadFull(att.Reply(), got); err != nil || string(got) != "reply" {
 		t.Fatalf("cross-view read = %q, %v", got, err)
 	}
 }
@@ -368,6 +373,16 @@ func TestAttachRejectsBadSegments(t *testing.T) {
 	files := s.ChildFiles()
 	if _, err := Attach(files[0], files[1:3]); err == nil {
 		t.Fatal("Attach accepted a bell count that cannot cover the rings")
+	}
+
+	// A directory claiming a second ring pair (as a peer built for a
+	// multi-pair layout would write) is foreign, however many bells come
+	// with it.
+	multi := newTestSegment(t, 0, 0)
+	multi.hdr.nrings = 2 * segRings
+	segFile, bells := dupFiles(t, multi)
+	if _, err := Attach(segFile, bells); err == nil {
+		t.Fatal("Attach accepted a directory with more than one ring pair")
 	}
 }
 

@@ -3,25 +3,20 @@ package shm
 import "sync/atomic"
 
 // Process-wide descriptor accounting for the shared-memory data plane. Every
-// mapped segment — classic SPSC pair or MPSC lane segment, created or
-// attached — registers the descriptors it holds open, and lane claims count
-// the sessions multiplexed over them. The point is the ratio: with per-lane
-// segments the doorbell count grows with sessions; with the MPSC plane it is
-// O(1) per segment, and these gauges are how tests and the daemon snapshot
-// pin that down.
+// mapped segment, created or attached, registers the descriptors it holds
+// open, so tests and the daemon snapshot can see that a closed session
+// leaves none behind.
 var (
 	fdSegments     atomic.Int64 // mapped segments in this process
 	fdSegmentFiles atomic.Int64 // backing files (memfd / unlinked temp) held open
 	fdDoorbells    atomic.Int64 // doorbell eventfds held open
-	fdLaneSessions atomic.Int64 // lanes currently claimed on MPSC segments
 )
 
 // FDStats is a snapshot of the data plane's descriptor economy.
 type FDStats struct {
-	Segments     int64 // mapped segments (all kinds)
+	Segments     int64 // mapped segments
 	SegmentFiles int64 // backing file descriptors
 	DoorbellFDs  int64 // doorbell eventfd descriptors
-	LaneSessions int64 // sessions claimed on MPSC lane segments
 }
 
 // SnapshotFDs returns the current process-wide descriptor gauges.
@@ -30,6 +25,5 @@ func SnapshotFDs() FDStats {
 		Segments:     fdSegments.Load(),
 		SegmentFiles: fdSegmentFiles.Load(),
 		DoorbellFDs:  fdDoorbells.Load(),
-		LaneSessions: fdLaneSessions.Load(),
 	}
 }

@@ -16,30 +16,26 @@ import (
 // Segment layout, all offsets cache-line aligned:
 //
 //	[0, 4096)                      control region (magic, version, epoch, ring directory)
-//	[4096, 4096+ringHdrBytes)      ring 0 header
+//	[4096, 4096+ringHdrBytes)      ring 0 (command) header
 //	[..., ... + cap0)              ring 0 data
-//	[..., ... + ringHdrBytes)      ring 1 header
+//	[..., ... + ringHdrBytes)      ring 1 (reply) header
 //	[..., ... + cap1)              ring 1 data
-//	...
 //
-// Rings come in direction pairs — even indices carry commands toward the
-// serving side, odd indices carry replies back — and the directory in the
-// control region records every ring's header offset and capacity, so an
-// attaching process reconstructs the geometry from the mapping itself
-// rather than assuming a fixed two-ring shape. Capacities are powers of two
-// so cursor positions reduce with a mask, and the cursors themselves are
-// free-running uint64 byte counts (head = bytes produced, tail = bytes
-// consumed) — the empty/full ambiguity of wrapped indices never arises and
-// 2^64 bytes outlives any session.
+// Ring 0 carries commands toward the serving side and ring 1 carries replies
+// back. The directory in the control region records each ring's header
+// offset and capacity, so an attaching process reconstructs the geometry
+// from the mapping itself and validates it before trusting it. Capacities
+// are powers of two so cursor positions reduce with a mask, and the cursors
+// themselves are free-running uint64 byte counts (head = bytes produced,
+// tail = bytes consumed) — the empty/full ambiguity of wrapped indices never
+// arises and 2^64 bytes outlives any session.
 const (
 	segMagic     = 0x41465348 // "AFSH" — active-file shared memory
 	segVersion   = 2          // v2: control region with epoch + ring directory, shared doorbell counters
 	segHdrBytes  = 4096
 	ringHdrBytes = 512
 	minRingBytes = 4096
-	// maxSegRings bounds the ring directory; 16 rings = 8 session pairs in
-	// one segment, room enough for the per-client pair layouts to come.
-	maxSegRings = 16
+	segRings     = 2 // one command ring and one reply ring
 )
 
 // Spin calibration. On a shared core the peer cannot make progress while we
@@ -78,9 +74,9 @@ type segHdr struct {
 	_       [56]byte
 	epoch   atomic.Uint64 // session generation; bumped on warm-pool adoption
 	_       [56]byte
-	nrings  uint32 // directory length
+	nrings  uint32 // directory length; always segRings
 	_       [60]byte
-	dir     [maxSegRings]ringDir
+	dir     [segRings]ringDir
 }
 
 // ringHdr is the shared control block of one ring, laid out so every
@@ -163,8 +159,8 @@ type Ring struct {
 func (r *Ring) SelfBuffered() {}
 
 // Segment is one process's view of the shared mapping and its doorbells.
-// The parent creates it (New/NewMulti) and passes its files to the child,
-// which attaches (Attach); both ends hold equal views afterwards.
+// The parent creates it (New) and passes its files to the child, which
+// attaches (Attach); both ends hold equal views afterwards.
 type Segment struct {
 	mem    []byte
 	file   *os.File
@@ -182,18 +178,6 @@ func Supported() bool { return true }
 // else an unlinked temp file; either way nothing persists past the
 // processes holding it.
 func New(cmdBytes, replyBytes int) (*Segment, error) {
-	return NewMulti(1, cmdBytes, replyBytes)
-}
-
-// NewMulti creates a segment carrying pairs command/reply ring pairs — ring
-// 2i is pair i's command direction, ring 2i+1 its reply direction — each
-// with the given per-ring capacities (0 means the defaults), plus two
-// doorbell eventfds per ring. One mapping and one backing fd serve every
-// pair, which is what keeps per-client ring pairs from multiplying mmaps.
-func NewMulti(pairs, cmdBytes, replyBytes int) (*Segment, error) {
-	if pairs < 1 || 2*pairs > maxSegRings {
-		return nil, fmt.Errorf("shm: %d ring pairs (want 1..%d)", pairs, maxSegRings/2)
-	}
 	if cmdBytes <= 0 {
 		cmdBytes = DefaultCmdBytes
 	}
@@ -207,7 +191,7 @@ func NewMulti(pairs, cmdBytes, replyBytes int) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := segHdrBytes + pairs*(2*ringHdrBytes+cmdCap+replyCap)
+	total := segHdrBytes + 2*ringHdrBytes + cmdCap + replyCap
 	if err := f.Truncate(int64(total)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("shm: size segment: %w", err)
@@ -220,18 +204,11 @@ func NewMulti(pairs, cmdBytes, replyBytes int) (*Segment, error) {
 	hdr := (*segHdr)(unsafe.Pointer(&mem[0]))
 	hdr.magic = segMagic
 	hdr.version = segVersion
-	hdr.nrings = uint32(2 * pairs)
-	off := uint64(segHdrBytes)
-	for i := 0; i < 2*pairs; i++ {
-		c := uint64(cmdCap)
-		if i%2 == 1 {
-			c = uint64(replyCap)
-		}
-		hdr.dir[i] = ringDir{off: off, cap: c}
-		off += ringHdrBytes + c
-	}
+	hdr.nrings = segRings
+	hdr.dir[0] = ringDir{off: segHdrBytes, cap: uint64(cmdCap)}
+	hdr.dir[1] = ringDir{off: segHdrBytes + ringHdrBytes + uint64(cmdCap), cap: uint64(replyCap)}
 
-	bells := make([]*os.File, 4*pairs)
+	bells := make([]*os.File, 2*segRings)
 	for i := range bells {
 		b, err := newEventFD()
 		if err != nil {
@@ -248,10 +225,11 @@ func NewMulti(pairs, cmdBytes, replyBytes int) (*Segment, error) {
 }
 
 // Attach builds the attaching process's view from the inherited files: the
-// segment file plus two doorbells per directory ring, in ChildFiles order.
-// The geometry comes from the control region's ring directory, validated
-// against the mapping size. Attach takes ownership of the files on success
-// and on failure.
+// segment file plus two doorbells per ring, in ChildFiles order. The
+// geometry comes from the control region's ring directory, which another
+// process wrote: it must hold exactly one command/reply pair and tile the
+// mapping exactly. Attach takes ownership of the files on success and on
+// failure.
 func Attach(seg *os.File, bells []*os.File) (*Segment, error) {
 	closeAll := func() {
 		seg.Close()
@@ -283,8 +261,8 @@ func Attach(seg *os.File, bells []*os.File) (*Segment, error) {
 		err = fmt.Errorf("shm: bad segment magic %#x", hdr.magic)
 	case hdr.version != segVersion:
 		err = fmt.Errorf("shm: segment version %d, want %d", hdr.version, segVersion)
-	case nrings < 2 || nrings > maxSegRings || nrings%2 != 0:
-		err = fmt.Errorf("shm: segment directory holds %d rings", nrings)
+	case nrings != segRings:
+		err = fmt.Errorf("shm: segment directory holds %d rings, want %d", nrings, segRings)
 	case len(bells) != 2*nrings:
 		err = fmt.Errorf("shm: attach wants %d doorbells for %d rings, got %d", 2*nrings, nrings, len(bells))
 	default:
@@ -313,24 +291,16 @@ func Attach(seg *os.File, bells []*os.File) (*Segment, error) {
 	return assemble(seg, mem, hdr, bells), nil
 }
 
-// assemble carves the mapping into its directory rings. Doorbell order is
-// ring-major — [ring0 data, ring0 space, ring1 data, ring1 space, ...] —
-// the contract between ChildFiles and Attach; for the classic single pair
-// that is [cmd data, cmd space, reply data, reply space].
+// assemble carves the mapping into its two rings. Doorbell order is
+// [cmd data, cmd space, reply data, reply space] — the contract between
+// ChildFiles and Attach.
 func assemble(f *os.File, mem []byte, hdr *segHdr, bells []*os.File) *Segment {
 	s := &Segment{mem: mem, file: f, hdr: hdr}
 	fdSegments.Add(1)
 	fdSegmentFiles.Add(1)
 	fdDoorbells.Add(int64(len(bells)))
-	for i := 0; i < int(hdr.nrings); i++ {
+	for i, name := range [segRings]string{"cmd", "reply"} {
 		d := hdr.dir[i]
-		name := "cmd"
-		if i%2 == 1 {
-			name = "reply"
-		}
-		if i > 1 {
-			name = fmt.Sprintf("%s%d", name, i/2)
-		}
 		dataOff := d.off + ringHdrBytes
 		s.rings = append(s.rings, &Ring{
 			name:      name,
@@ -344,13 +314,13 @@ func assemble(f *os.File, mem []byte, hdr *segHdr, bells []*os.File) *Segment {
 	return s
 }
 
-// Cmd returns pair 0's command ring (toward the serving side).
+// Cmd returns the command ring (toward the serving side).
 func (s *Segment) Cmd() *Ring { return s.rings[0] }
 
-// Reply returns pair 0's reply ring (back from the serving side).
+// Reply returns the reply ring (back from the serving side).
 func (s *Segment) Reply() *Ring { return s.rings[1] }
 
-// Rings returns every ring in the segment, in directory order.
+// Rings returns both rings, command then reply.
 func (s *Segment) Rings() []*Ring { return s.rings }
 
 // Epoch returns the control region's adoption generation. Valid only while

@@ -29,8 +29,6 @@ type Segment struct{}
 
 func New(cmdBytes, replyBytes int) (*Segment, error) { return nil, ErrUnsupported }
 
-func NewMulti(pairs, cmdBytes, replyBytes int) (*Segment, error) { return nil, ErrUnsupported }
-
 func Attach(seg *os.File, bells []*os.File) (*Segment, error) {
 	seg.Close()
 	for _, b := range bells {

@@ -37,10 +37,9 @@
 // waiting on cannot stay parked.
 //
 // Segment layout: one mapping carries a control region (magic/version, an
-// adoption epoch, and a ring directory) followed by every ring's header and
-// data area, so a warm-pool adoption rebinds rings inside the existing
-// segment — no new fds, no new mmaps — and future per-client ring pairs have
-// a place to live (NewMulti).
+// adoption epoch, and a ring directory) followed by both rings' headers and
+// data areas, so a warm-pool adoption rebinds rings inside the existing
+// segment — no new fds, no new mmaps.
 //
 // Teardown: either side may Close, which sets a shared closed flag and rings
 // every doorbell. Readers drain what was published and then see io.EOF;
